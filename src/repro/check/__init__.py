@@ -38,6 +38,7 @@ from repro.check.geometry import (
     check_placements,
     uncovered_area,
 )
+from repro.check.routing import RoutingReport, check_routing
 
 __all__ = [
     "CertificateReport",
@@ -46,6 +47,7 @@ __all__ = [
     "FuzzReport",
     "GeometryReport",
     "StepCertification",
+    "RoutingReport",
     "Violation",
     "certify_floorplan",
     "certify_subproblem",
@@ -55,6 +57,7 @@ __all__ = [
     "check_floorplan",
     "check_outline",
     "check_placements",
+    "check_routing",
     "compare_encodings",
     "compare_results",
     "fuzz",

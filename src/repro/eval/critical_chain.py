@@ -14,9 +14,8 @@ purely from geometry — no solver duals needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
 from typing import Sequence
-
-import networkx as nx
 
 from repro.core.placement import Placement
 from repro.core.topology import Relation, derive_relations
@@ -92,15 +91,13 @@ def critical_chain(placements: Sequence[Placement], axis: str = "y", *,
     def low_edge(p: Placement) -> float:
         return p.envelope.x if axis == "x" else p.envelope.y
 
-    graph = nx.DiGraph()
-    graph.add_node("source")
-    graph.add_node("sink")
+    nodes = ["source", "sink"] + [p.name for p in placement_list]
+    weights: dict[tuple[str, str], float] = {}
     for p in placement_list:
-        graph.add_node(p.name)
-        graph.add_edge(p.name, "sink", weight=0.0)
+        weights[(p.name, "sink")] = 0.0
         if low_edge(p) <= eps:
             # resting on the chip boundary: the chain can start here
-            graph.add_edge("source", p.name, weight=extent(p))
+            weights[("source", p.name)] = extent(p)
     for rel in binding_relations(placement_list, relations, eps=eps):
         if rel.axis != axis:
             continue
@@ -110,15 +107,46 @@ def critical_chain(placements: Sequence[Placement], axis: str = "y", *,
         # forward progress along the axis.
         if low_edge(second) < low_edge(first) - eps:
             continue
-        graph.add_edge(rel.first, rel.second,
-                       weight=extent(second) + rel.gap)
-    path = nx.dag_longest_path(graph, weight="weight")
-    total = nx.dag_longest_path_length(graph, weight="weight")
+        weights[(rel.first, rel.second)] = extent(second) + rel.gap
+    path = _longest_path(nodes, weights)
+    total = 0
+    for u, v in zip(path, path[1:]):
+        total += weights[(u, v)]
     modules = tuple(n for n in path if n not in ("source", "sink"))
     chip_extent = max((p.envelope.x2 if axis == "x" else p.envelope.y2)
                       for p in placement_list)
     return CriticalChain(axis=axis, modules=modules, extent=total,
                          chip_extent=chip_extent)
+
+
+def _longest_path(nodes: list[str],
+                  weights: dict[tuple[str, str], float]) -> list[str]:
+    """The heaviest path of a DAG: a DP over a topological order.
+
+    Nodes and edges are fed to the sorter in insertion order, so the order
+    (and with it every tie-break) is deterministic: the first of several
+    equally heavy predecessors wins, and the path ends at the first node,
+    in topological order, of greatest weight.
+    """
+    sorter: TopologicalSorter = TopologicalSorter()
+    preds: dict[str, list[str]] = {n: [] for n in nodes}
+    for node in nodes:
+        sorter.add(node)
+    for u, v in weights:
+        sorter.add(v, u)
+        preds[v].append(u)
+    best: dict[str, tuple[float, str]] = {}
+    for v in sorter.static_order():
+        options = [(best[u][0] + weights[(u, v)], u) for u in preds[v]]
+        top = max(options, key=lambda o: o[0]) if options else (0, v)
+        best[v] = top if top[0] >= 0 else (0, v)
+    node = max(best, key=lambda n: best[n][0])
+    path = [node]
+    while best[node][1] != node:
+        node = best[node][1]
+        path.append(node)
+    path.reverse()
+    return path
 
 
 def chain_report(placements: Sequence[Placement]) -> str:

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from repro.core.config import Linearization
 from repro.core.placement import Placement
 from repro.core.topology import derive_relations, optimize_topology
@@ -91,12 +93,11 @@ def adjust_floorplan(placements: Mapping[str, Placement],
 
     demands: dict[tuple[str, str, str], float] = {}
     gaps: dict[tuple[str, str, str], float] = {}
-
-    all_rects = [p.rect for p in placement_list]
+    corridor = CorridorDemand(channel_graph, routing,
+                              [p.rect for p in placement_list])
 
     def gap_fn(first: Placement, second: Placement, axis: str) -> float:
-        demand = _corridor_demand(first, second, axis, channel_graph, routing,
-                                  occluders=all_rects)
+        demand = corridor.demand(first, second, axis)
         required = demand * (technology.pitch_v if axis == "x"
                              else technology.pitch_h)
         margin = 0.0 if strip_envelopes \
@@ -141,10 +142,7 @@ def _margin_between(first: Placement, second: Placement, axis: str) -> float:
         - max(0.0, second.envelope.y - first.envelope.y2)
 
 
-def _corridor_demand(first: Placement, second: Placement, axis: str,
-                     channel_graph: ChannelGraph,
-                     routing: RoutingResult,
-                     occluders: list[Rect] | None = None) -> float:
+class CorridorDemand:
     """Peak number of wires running along the corridor between two modules.
 
     For an x-relation (``first`` left of ``second``) the corridor is the
@@ -153,52 +151,49 @@ def _corridor_demand(first: Placement, second: Placement, axis: str,
     boundaries inside the corridor.  The demand is the maximum, over those
     boundary lines, of the summed usage crossing inside the corridor.
 
-    A pair whose corridor contains another module is not directly adjacent
-    — its separation follows transitively from the adjacent pairs — so its
-    demand is 0.
-    """
-    a, b = first.rect, second.rect
-    if axis == "x":
-        lo, hi = a.x2, b.x
-        span_lo, span_hi = max(a.y, b.y), min(a.y2, b.y2)
-        crossing = "h"  # vertical wires cross horizontal boundaries
-    else:
-        lo, hi = a.y2, b.y
-        span_lo, span_hi = max(a.x, b.x), min(a.x2, b.x2)
-        crossing = "v"
-    if span_hi - span_lo <= GEOM_EPS:
-        return 0.0  # diagonal neighbors share no corridor
-    if hi - lo > GEOM_EPS and occluders is not None:
-        corridor = Rect(lo, span_lo, hi - lo, span_hi - span_lo) \
-            if axis == "x" else Rect(span_lo, lo, span_hi - span_lo, hi - lo)
-        for other in occluders:
-            if other is a or other is b:
-                continue
-            if other.overlaps(corridor):
-                return 0.0
+    A pair whose corridor contains another module (one of ``occluders``) is
+    not directly adjacent — its separation follows transitively from the
+    adjacent pairs — so its demand is 0.
 
-    per_line: dict[float, float] = {}
-    graph = channel_graph.graph
-    for (u, v), usage in routing.edge_usage.items():
-        if usage <= 0 or not graph.has_edge(u, v):
-            continue
-        data = graph.edges[u, v]
-        if data["orientation"] != crossing:
-            continue
-        rect_u = graph.nodes[u]["rect"]
-        rect_v = graph.nodes[v]["rect"]
-        if crossing == "h":
-            line = rect_u.y2 if rect_u.y < rect_v.y else rect_v.y2
-            seg_lo = max(rect_u.x, rect_v.x)
-            seg_hi = min(rect_u.x2, rect_v.x2)
-            inside = (span_lo - GEOM_EPS <= line <= span_hi + GEOM_EPS
-                      and seg_lo < hi - GEOM_EPS and seg_hi > lo + GEOM_EPS)
+    The routed usage per boundary line and the occluder bounds are arrays
+    built once; each pair's demand is a mask over them.
+    """
+
+    def __init__(self, channel_graph: ChannelGraph, routing: RoutingResult,
+                 occluders: list[Rect]) -> None:
+        self.lines = channel_graph.crossing_lines(routing.edge_usage)
+        self._slots: dict[int, list[int]] = {}
+        for k, rect in enumerate(occluders):
+            self._slots.setdefault(id(rect), []).append(k)
+        self._x0 = np.array([r.x for r in occluders])
+        self._x2 = np.array([r.x2 for r in occluders])
+        self._y0 = np.array([r.y for r in occluders])
+        self._y2 = np.array([r.y2 for r in occluders])
+
+    def demand(self, first: Placement, second: Placement, axis: str) -> float:
+        a, b = first.rect, second.rect
+        if axis == "x":
+            lo, hi = a.x2, b.x
+            span_lo, span_hi = max(a.y, b.y), min(a.y2, b.y2)
+            crossing = "h"  # vertical wires cross horizontal boundaries
         else:
-            line = rect_u.x2 if rect_u.x < rect_v.x else rect_v.x2
-            seg_lo = max(rect_u.y, rect_v.y)
-            seg_hi = min(rect_u.y2, rect_v.y2)
-            inside = (span_lo - GEOM_EPS <= line <= span_hi + GEOM_EPS
-                      and seg_lo < hi - GEOM_EPS and seg_hi > lo + GEOM_EPS)
-        if inside:
-            per_line[round(line, 6)] = per_line.get(round(line, 6), 0.0) + usage
-    return max(per_line.values(), default=0.0)
+            lo, hi = a.y2, b.y
+            span_lo, span_hi = max(a.x, b.x), min(a.x2, b.x2)
+            crossing = "v"
+        if span_hi - span_lo <= GEOM_EPS:
+            return 0.0  # diagonal neighbors share no corridor
+        if hi - lo > GEOM_EPS and self._occluded(
+                a, b, Rect(lo, span_lo, hi - lo, span_hi - span_lo)
+                if axis == "x" else Rect(span_lo, lo, span_hi - span_lo, hi - lo)):
+            return 0.0
+        return self.lines.peak(crossing, span_lo, span_hi, lo, hi)
+
+    def _occluded(self, a: Rect, b: Rect, corridor: Rect) -> bool:
+        """True when an occluder other than ``a`` and ``b`` overlaps the
+        corridor (the ``Rect.overlaps`` test over all occluders)."""
+        eps = GEOM_EPS
+        hit = ((self._x0 < corridor.x2 - eps) & (corridor.x < self._x2 - eps)
+               & (self._y0 < corridor.y2 - eps) & (corridor.y < self._y2 - eps))
+        for rect in (a, b):
+            hit[self._slots.get(id(rect), [])] = False
+        return bool(hit.any())

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from repro.core.placement import Placement
 from repro.geometry.rect import GEOM_EPS, Rect
-from repro.routing.graph import ChannelGraph
+from repro.routing.graph import ChannelGraph, free_cells, grid_cuts
 from repro.routing.result import RoutingResult
 from repro.routing.technology import Technology
 
@@ -53,20 +53,14 @@ def extract_channels(placements: Sequence[Placement], chip: Rect,
     row interval become horizontal ones.  Channels narrower than
     ``min_extent`` (in the track-stacking direction) are dropped.
     """
-    xs = _cuts([chip.x, chip.x2]
-               + [c for p in placements for c in (p.rect.x, p.rect.x2)],
-               chip.x, chip.x2)
-    ys = _cuts([chip.y, chip.y2]
-               + [c for p in placements for c in (p.rect.y, p.rect.y2)],
-               chip.y, chip.y2)
-    blockers = [p.rect for p in placements]
+    xs = grid_cuts([chip.x, chip.x2]
+                   + [c for p in placements for c in (p.rect.x, p.rect.x2)],
+                   chip.x, chip.x2)
+    ys = grid_cuts([chip.y, chip.y2]
+                   + [c for p in placements for c in (p.rect.y, p.rect.y2)],
+                   chip.y, chip.y2)
     n_cols, n_rows = len(xs) - 1, len(ys) - 1
-    free = [[True] * n_rows for _ in range(n_cols)]
-    for i in range(n_cols):
-        for j in range(n_rows):
-            cell = Rect(xs[i], ys[j], xs[i + 1] - xs[i], ys[j + 1] - ys[j])
-            if any(b.overlaps(cell) for b in blockers):
-                free[i][j] = False
+    free = free_cells(xs, ys, [p.rect for p in placements]).tolist()
 
     channels: list[Channel] = []
     # Vertical channels: per column interval, maximal free row runs.
@@ -116,39 +110,14 @@ def channel_utilization(channels: Sequence[Channel],
     sum over the channel's capacity is the utilization (mirrors the
     adjustment step's corridor-demand measure).
     """
-    graph = channel_graph.graph
+    lines = channel_graph.crossing_lines(routing.edge_usage)
     result: dict[str, float] = {}
     for channel in channels:
-        crossing = "h" if channel.orientation == "v" else "v"
-        per_line: dict[float, float] = {}
-        for (u, v), usage in routing.edge_usage.items():
-            if usage <= 0 or not graph.has_edge(u, v):
-                continue
-            data = graph.edges[u, v]
-            if data["orientation"] != crossing:
-                continue
-            rect_u = graph.nodes[u]["rect"]
-            rect_v = graph.nodes[v]["rect"]
-            if crossing == "h":
-                line = rect_u.y2 if rect_u.y < rect_v.y else rect_v.y2
-                seg_lo = max(rect_u.x, rect_v.x)
-                seg_hi = min(rect_u.x2, rect_v.x2)
-                inside = (channel.rect.y - GEOM_EPS <= line
-                          <= channel.rect.y2 + GEOM_EPS
-                          and seg_lo < channel.rect.x2 - GEOM_EPS
-                          and seg_hi > channel.rect.x + GEOM_EPS)
-            else:
-                line = rect_u.x2 if rect_u.x < rect_v.x else rect_v.x2
-                seg_lo = max(rect_u.y, rect_v.y)
-                seg_hi = min(rect_u.y2, rect_v.y2)
-                inside = (channel.rect.x - GEOM_EPS <= line
-                          <= channel.rect.x2 + GEOM_EPS
-                          and seg_lo < channel.rect.y2 - GEOM_EPS
-                          and seg_hi > channel.rect.y + GEOM_EPS)
-            if inside:
-                key = round(line, 6)
-                per_line[key] = per_line.get(key, 0.0) + usage
-        demand = max(per_line.values(), default=0.0)
+        r = channel.rect
+        if channel.orientation == "v":
+            demand = lines.peak("h", r.y, r.y2, r.x, r.x2)
+        else:
+            demand = lines.peak("v", r.x, r.x2, r.y, r.y2)
         result[channel.name] = demand / channel.capacity \
             if channel.capacity > 0 else 0.0
     return result
@@ -160,14 +129,3 @@ def congested_channels(channels: Sequence[Channel],
     """Channels whose utilization meets or exceeds ``threshold``."""
     return [c for c in channels
             if utilization.get(c.name, 0.0) >= threshold]
-
-
-def _cuts(values, lo: float, hi: float, eps: float = GEOM_EPS) -> list[float]:
-    clipped = sorted(min(max(v, lo), hi) for v in values)
-    cuts: list[float] = []
-    for v in clipped:
-        if not cuts or v - cuts[-1] > eps:
-            cuts.append(v)
-    if len(cuts) < 2:
-        cuts = [lo, hi]
-    return cuts

@@ -56,7 +56,3 @@ class RoutingResult:
                 return r
         return None
 
-
-def canonical_edge(u: Node, v: Node) -> tuple[Node, Node]:
-    """Order an edge's endpoints deterministically for dictionary keys."""
-    return (u, v) if u <= v else (v, u)

@@ -21,14 +21,17 @@ its four pins), updating channel usage as it goes.
 from __future__ import annotations
 
 import heapq
+import math
 from enum import Enum
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.placement import Placement
 from repro.netlist.net import Net
-from repro.routing.graph import ChannelGraph, Node
+from repro.routing.graph import ChannelGraph
 from repro.routing.pins import generalized_pins
-from repro.routing.result import NetRoute, RoutingResult, canonical_edge
+from repro.routing.result import NetRoute, RoutingResult
 
 
 class RouterMode(str, Enum):
@@ -39,7 +42,17 @@ class RouterMode(str, Enum):
 
 
 class GlobalRouter:
-    """Graph-based global router over a :class:`ChannelGraph`."""
+    """Graph-based global router over a :class:`ChannelGraph`.
+
+    Each connection is a multi-source Dijkstra over integer node ids, whose
+    order is the cells' lexicographic ``(i, j)`` order.  Tie-break rule: the
+    heap pops in ``(distance, node)`` order and a node is relaxed only on a
+    strictly shorter distance.  So of equally near targets the smallest cell
+    is connected first, and on equal-cost paths every node keeps the
+    predecessor that was popped first.  Edge costs are fixed while a net
+    routes (usage is committed once the net is done), so WEIGHTED mode
+    computes each net's cost vector once.
+    """
 
     def __init__(self, channel_graph: ChannelGraph,
                  mode: RouterMode = RouterMode.WEIGHTED,
@@ -75,27 +88,27 @@ class GlobalRouter:
         Returns:
             The :class:`~repro.routing.result.RoutingResult`.
         """
-        graph = self.channel_graph.graph
-        self.channel_graph.reset_usage()
+        graph = self.channel_graph
+        graph.reset_usage()
 
-        pin_nodes: dict[str, list[Node]] = {}
+        pin_ids: dict[str, list[int]] = {}
         for name, placement in placements.items():
-            nodes = {self.channel_graph.pin_node(pin)
-                     for pin in generalized_pins(placement)}
-            pin_nodes[name] = sorted(nodes)
+            ids = {graph.node_id(graph.pin_node(pin))
+                   for pin in generalized_pins(placement)}
+            pin_ids[name] = sorted(ids)
 
         # "Nets with the tight timing requirements are routed first"; among
         # equals, short (low-degree) nets first for stable behaviour.
         order = sorted(nets, key=lambda n: (-n.criticality, n.degree, n.name))
-        routed: dict[str, NetRoute] = {}
+        routed: dict[str, list[int]] = {}
         failed: list[str] = []
         for net in order:
-            route = self._route_net(net, pin_nodes)
-            if route is None:
+            edges = self._route_net(net, pin_ids)
+            if edges is None:
                 failed.append(net.name)
                 continue
-            routed[net.name] = route
-            self._commit(route, +1.0)
+            routed[net.name] = edges
+            graph.usage[edges] += 1.0
 
         nets_by_name = {n.name: n for n in order}
         base_penalty = self.congestion_penalty
@@ -108,138 +121,139 @@ class GlobalRouter:
                 self.congestion_penalty = base_penalty * (2.0 ** (round_index + 1))
                 for net in offenders:
                     old = routed.pop(net.name)
-                    self._commit(old, -1.0)
-                    new = self._route_net(net, pin_nodes)
+                    graph.usage[old] -= 1.0
+                    new = self._route_net(net, pin_ids)
                     if new is None:
-                        self._commit(old, +1.0)
+                        graph.usage[old] += 1.0
                         routed[net.name] = old
                         continue
-                    self._commit(new, +1.0)
+                    graph.usage[new] += 1.0
                     routed[net.name] = new
         finally:
             self.congestion_penalty = base_penalty
 
+        length = graph.length.tolist()
+        nodes, eu, ev = graph.nodes, graph.eu.tolist(), graph.ev.tolist()
         result = RoutingResult(failed_nets=failed)
         for net in order:
-            route = routed.get(net.name)
-            if route is None:
+            edges = routed.get(net.name)
+            if edges is None:
                 continue
+            pairs = tuple((nodes[eu[e]], nodes[ev[e]]) for e in edges)
+            route = NetRoute(net=net.name, edges=pairs,
+                             length=sum(length[e] for e in edges),
+                             n_terminals=sum(name in pin_ids
+                                             for name in net.modules))
             result.routes.append(route)
             result.total_wirelength += route.length
-            for u, v in route.edges:
-                key = canonical_edge(u, v)
+            for key in pairs:
                 result.edge_usage[key] = result.edge_usage.get(key, 0.0) + 1.0
-        result.total_overflow = self.channel_graph.total_overflow()
-        result.max_edge_utilization = max(
-            (d["usage"] / d["capacity"]
-             for _u, _v, d in graph.edges(data=True) if d["capacity"] > 0),
-            default=0.0)
+        result.total_overflow = graph.total_overflow()
+        positive = graph.capacity > 0
+        result.max_edge_utilization = float(np.max(
+            graph.usage[positive] / graph.capacity[positive])) \
+            if positive.any() else 0.0
         return result
-
-    # -- rip-up helpers ----------------------------------------------------------------
-
-    def _commit(self, route: NetRoute, delta: float) -> None:
-        """Apply (or remove) a route's usage on the graph."""
-        graph = self.channel_graph.graph
-        for u, v in route.edges:
-            graph.edges[u, v]["usage"] += delta
-
-    def _overflowing_nets(self, routed: Mapping[str, NetRoute],
-                          nets_by_name: Mapping[str, Net]) -> list[Net]:
-        """Nets using at least one over-capacity edge, least critical (and
-        longest) first so timing-critical routes keep their paths."""
-        graph = self.channel_graph.graph
-        hot = {(u, v) if u <= v else (v, u)
-               for u, v, d in graph.edges(data=True)
-               if d["usage"] > d["capacity"] + 1e-9}
-        if not hot:
-            return []
-        offenders = [nets_by_name[name] for name, route in routed.items()
-                     if any(e in hot for e in route.edges)]
-        offenders.sort(key=lambda n: (n.criticality,
-                                      -routed[n.name].length, n.name))
-        return offenders
 
     # -- internals ---------------------------------------------------------------------
 
-    def _edge_cost(self, data: dict) -> float:
-        """Edge cost under the current mode and usage."""
-        length = data["length"]
+    def _overflowing_nets(self, routed: Mapping[str, list[int]],
+                          nets_by_name: Mapping[str, Net]) -> list[Net]:
+        """Nets using at least one over-capacity edge, least critical (and
+        longest) first so timing-critical routes keep their paths."""
+        graph = self.channel_graph
+        hot = graph.usage > graph.capacity + 1e-9
+        if not hot.any():
+            return []
+        length = graph.length.tolist()
+        offenders = [nets_by_name[name] for name, edges in routed.items()
+                     if hot[edges].any()]
+        offenders.sort(key=lambda n: (n.criticality,
+                                      -sum(length[e] for e in routed[n.name]),
+                                      n.name))
+        return offenders
+
+    def _edge_costs(self) -> list[float]:
+        """Per-edge cost under the current mode and usage."""
+        graph = self.channel_graph
         if self.mode is RouterMode.SHORTEST:
-            return length
-        capacity = max(data["capacity"], 1e-9)
-        utilization = (data["usage"] + 1.0) / capacity
-        penalty = self.congestion_penalty * max(0.0, utilization - 1.0)
-        return length * (1.0 + penalty)
+            return graph.length.tolist()
+        utilization = (graph.usage + 1.0) / np.maximum(graph.capacity, 1e-9)
+        penalty = self.congestion_penalty * np.maximum(0.0, utilization - 1.0)
+        return (graph.length * (1.0 + penalty)).tolist()
 
     def _route_net(self, net: Net,
-                   pin_nodes: Mapping[str, list[Node]]) -> NetRoute | None:
-        """Grow a Steiner-ish tree over the net's terminals."""
-        terminals = [pin_nodes[name] for name in net.modules
-                     if name in pin_nodes]
+                   pin_ids: Mapping[str, list[int]]) -> list[int] | None:
+        """Grow a Steiner-ish tree over the net's terminals; returns its edge
+        ids in the order they were added, or None when unroutable."""
+        terminals = [pin_ids[name] for name in net.modules
+                     if name in pin_ids]
         if len(terminals) < 2:
             return None
 
-        tree_nodes: set[Node] = set(terminals[0])
+        cost = self._edge_costs()
+        tree_nodes: set[int] = set(terminals[0])
         remaining = list(range(1, len(terminals)))
-        edges: list[tuple[Node, Node]] = []
+        edges: list[int] = []
 
         while remaining:
-            target_of: dict[Node, int] = {}
+            target_of: dict[int, int] = {}
             for idx in remaining:
                 for node in terminals[idx]:
                     target_of.setdefault(node, idx)
-            path = self._multi_source_shortest(tree_nodes, set(target_of))
-            if path is None:
+            found = self._multi_source_shortest(tree_nodes, target_of, cost)
+            if found is None:
                 return None
-            reached = path[-1]
-            connected = target_of[reached]
+            path, path_edges = found
+            connected = target_of[path[-1]]
             remaining.remove(connected)
-            for a, b in zip(path, path[1:]):
-                edges.append(canonical_edge(a, b))
+            edges.extend(path_edges)
             tree_nodes.update(path)
             tree_nodes.update(terminals[connected])
 
         # Deduplicate edges shared by several branch paths.
-        unique_edges = tuple(dict.fromkeys(edges))
-        unique_length = sum(self.channel_graph.graph.edges[u, v]["length"]
-                            for u, v in unique_edges)
-        return NetRoute(net=net.name, edges=unique_edges,
-                        length=unique_length, n_terminals=len(terminals))
+        return list(dict.fromkeys(edges))
 
-    def _multi_source_shortest(self, sources: set[Node],
-                               targets: set[Node]) -> list[Node] | None:
+    def _multi_source_shortest(self, sources: set[int],
+                               targets: Mapping[int, int],
+                               cost: list[float]
+                               ) -> tuple[list[int], list[int]] | None:
         """Dijkstra from all of ``sources`` to the nearest of ``targets``.
 
-        Returns the node path (source ... target) or None when unreachable.
+        Returns the node path (source ... target) and its edge ids, or None
+        when no target is reachable.
         """
-        overlap = sources & targets
+        overlap = sources.intersection(targets)
         if overlap:
-            node = min(overlap)
-            return [node]
-        graph = self.channel_graph.graph
-        dist: dict[Node, float] = {}
-        prev: dict[Node, Node | None] = {}
-        heap: list[tuple[float, Node]] = []
+            return [min(overlap)], []
+        adjacency = self.channel_graph.adjacency
+        dist = [math.inf] * len(adjacency)
+        prev = [-1] * len(adjacency)
+        via = [-1] * len(adjacency)
+        heap: list[tuple[float, int]] = []
         for s in sources:
-            if s in graph:
-                dist[s] = 0.0
-                prev[s] = None
-                heapq.heappush(heap, (0.0, s))
+            dist[s] = 0.0
+            heap.append((0.0, s))
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, float("inf")):
+            d, u = pop(heap)
+            if d > dist[u]:
                 continue
             if u in targets:
-                path = [u]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])  # type: ignore[arg-type]
+                path, path_edges = [u], []
+                while prev[u] >= 0:
+                    path_edges.append(via[u])
+                    u = prev[u]
+                    path.append(u)
                 path.reverse()
-                return path
-            for v, data in graph[u].items():
-                nd = d + self._edge_cost(data)
-                if nd < dist.get(v, float("inf")):
+                path_edges.reverse()
+                return path, path_edges
+            for v, e in adjacency[u]:
+                nd = d + cost[e]
+                if nd < dist[v]:
                     dist[v] = nd
                     prev[v] = u
-                    heapq.heappush(heap, (nd, v))
+                    via[v] = e
+                    push(heap, (nd, v))
         return None

@@ -5,7 +5,8 @@ Invariants over random legal floorplans and random nets:
 * every routed net's edges form a connected subgraph touching a pin node of
   every terminal module;
 * graph usage equals the sum of per-net route edges;
-* rip-up rounds never lose nets;
+* rip-up rounds never lose nets, and their results pass the routing
+  certificate;
 * channel-graph cells exactly avoid module interiors (around-the-cell).
 """
 
@@ -13,16 +14,16 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.routing import check_routing, connected_groups
 from repro.core.placement import Placement
-from repro.geometry.rect import Rect
+from repro.geometry.rect import GEOM_EPS, Rect
 from repro.geometry.skyline import Skyline
 from repro.netlist.module import Module
 from repro.netlist.net import Net
-from repro.routing.graph import build_channel_graph
+from repro.routing.graph import build_channel_graph, free_cells
 from repro.routing.pins import generalized_pins
 from repro.routing.router import GlobalRouter, RouterMode
 from repro.routing.technology import Technology
@@ -80,16 +81,15 @@ class TestRoutingProperties:
         assert not result.failed_nets
         for route in result.routes:
             net = next(n for n in nets if n.name == route.net)
-            tree = nx.Graph()
-            tree.add_edges_from(route.edges)
+            links = list(route.edges)
             virtual_nodes = []
             for module_name in net.modules:
                 virtual = f"module:{module_name}"
                 virtual_nodes.append(virtual)
                 for pin in generalized_pins(placements[module_name]):
-                    tree.add_edge(virtual, graph.pin_node(pin))
-            component = nx.node_connected_component(tree, virtual_nodes[0])
-            assert all(v in component for v in virtual_nodes)
+                    links.append((virtual, graph.pin_node(pin)))
+            groups = connected_groups(links)
+            assert len({groups[v] for v in virtual_nodes}) == 1
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=15, deadline=None)
@@ -102,8 +102,7 @@ class TestRoutingProperties:
         graph = build_channel_graph(list(placements.values()), chip, tech)
         result = GlobalRouter(graph).route(nets, placements)
         edge_count = sum(len(r.edges) for r in result.routes)
-        graph_usage = sum(d["usage"]
-                          for _u, _v, d in graph.graph.edges(data=True))
+        graph_usage = float(graph.usage.sum())
         assert graph_usage == edge_count
         assert sum(result.edge_usage.values()) == edge_count
 
@@ -121,6 +120,8 @@ class TestRoutingProperties:
             nets, placements, rip_up_rounds=rounds)
         assert result.n_routed + len(result.failed_nets) == len(nets)
         assert result.n_routed == len(nets)
+        report = check_routing(graph, result, nets, placements)
+        assert report.ok, [v.detail for v in report.violations]
 
     @given(st.integers(min_value=0, max_value=5_000))
     @settings(max_examples=15, deadline=None)
@@ -131,6 +132,69 @@ class TestRoutingProperties:
                     max(p.rect.y2 for p in placements.values()))
         graph = build_channel_graph(list(placements.values()), chip, tech)
         rects = [p.rect for p in placements.values()]
-        for node in graph.graph.nodes:
+        for node in graph.nodes:
             cell = graph.cell_rect(node)
             assert not any(r.overlaps(cell) for r in rects)
+
+
+def _free_cells_loop(xs, ys, blockers):
+    """Reference: the per-cell ``Rect.overlaps`` scan."""
+    return [[not any(b.overlaps(Rect(xs[i], ys[j], xs[i + 1] - xs[i],
+                                     ys[j + 1] - ys[j])) for b in blockers)
+             for j in range(len(ys) - 1)] for i in range(len(xs) - 1)]
+
+
+def _peak_loop(graph, edge_usage, crossing, line_lo, line_hi, lo, hi):
+    """Reference: the per-edge corridor scan over cell rects."""
+    per_line: dict[float, float] = {}
+    for (u, v), usage in edge_usage.items():
+        e = graph.edge_id(u, v)
+        if usage <= 0 or e is None or graph.orientation[e] != crossing:
+            continue
+        ru, rv = graph.cell_rect(u), graph.cell_rect(v)
+        if crossing == "h":
+            line = ru.y2 if ru.y < rv.y else rv.y2
+            seg_lo, seg_hi = max(ru.x, rv.x), min(ru.x2, rv.x2)
+        else:
+            line = ru.x2 if ru.x < rv.x else rv.x2
+            seg_lo, seg_hi = max(ru.y, rv.y), min(ru.y2, rv.y2)
+        if (line_lo - GEOM_EPS <= line <= line_hi + GEOM_EPS
+                and seg_lo < hi - GEOM_EPS and seg_hi > lo + GEOM_EPS):
+            key = round(line, 6)
+            per_line[key] = per_line.get(key, 0.0) + usage
+    return max(per_line.values(), default=0.0)
+
+
+class TestArraysMatchLoops:
+    """The broadcast free-cell mask and the array corridor peak equal the
+    scalar loops they replaced, exactly."""
+
+    @given(st.integers(min_value=0, max_value=5_000))
+    @settings(max_examples=25, deadline=None)
+    def test_free_cells_equal_overlap_loop(self, seed):
+        placements = _random_floorplan(seed, 6)
+        chip = Rect(0, 0, SPAN, max(p.rect.y2 for p in placements.values()))
+        graph = build_channel_graph(list(placements.values()), chip,
+                                    Technology.around_the_cell())
+        blockers = [p.rect for p in placements.values()]
+        expected = _free_cells_loop(graph.xs, graph.ys, blockers)
+        assert free_cells(graph.xs, graph.ys, blockers).tolist() == expected
+        assert (graph.grid >= 0).tolist() == expected
+
+    @given(st.integers(min_value=0, max_value=5_000))
+    @settings(max_examples=15, deadline=None)
+    def test_corridor_peak_equals_edge_loop(self, seed):
+        placements = _random_floorplan(seed, 5)
+        nets = _random_nets(seed, list(placements), 8)
+        chip = Rect(0, 0, SPAN, max(p.rect.y2 for p in placements.values()))
+        graph = build_channel_graph(list(placements.values()), chip,
+                                    Technology.around_the_cell())
+        result = GlobalRouter(graph).route(nets, placements)
+        lines = graph.crossing_lines(result.edge_usage)
+        rng = random.Random(seed)
+        for _ in range(20):
+            a, b = sorted(rng.uniform(-2.0, SPAN + 2.0) for _ in range(2))
+            c, d = sorted(rng.uniform(-2.0, chip.h + 2.0) for _ in range(2))
+            for crossing, span in (("h", (c, d, a, b)), ("v", (a, b, c, d))):
+                assert lines.peak(crossing, *span) == _peak_loop(
+                    graph, result.edge_usage, crossing, *span)
